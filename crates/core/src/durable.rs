@@ -234,7 +234,7 @@ impl ModelLake {
                 let bytes = self.shared.store.get(&digest)?;
                 let model = Model::from_bytes(&bytes)
                     .map_err(|e| LakeError::CorruptArtifact(e.to_string()))?;
-                let fps = self.compute_fingerprints(&model)?;
+                let fps = self.fingerprinter().all(&model)?;
                 self.finish_ingest(&name, &model, digest, card, fps)?;
                 Ok(())
             }

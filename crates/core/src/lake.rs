@@ -574,18 +574,9 @@ impl ModelLake {
             card.unwrap_or_else(|| ModelCard::skeleton(name, model.architecture().signature()));
         // Everything fallible runs before the WAL append so a logged op
         // is one that replay can always re-apply.
-        let fps = self.compute_fingerprints(model)?;
+        let fps = self.fingerprinter.all(model)?;
         self.durable_ingest(name, &digest, &bytes, &card)?;
         self.finish_ingest(name, model, digest, card, fps)
-    }
-
-    /// All three fingerprints of a model, in [`FingerprintKind::ALL`] order.
-    pub(crate) fn compute_fingerprints(&self, model: &Model) -> Result<[Vec<f32>; 3]> {
-        Ok([
-            self.fingerprinter.intrinsic(model),
-            self.fingerprinter.extrinsic(model)?,
-            self.fingerprinter.hybrid(model)?,
-        ])
     }
 
     /// Pure in-memory half of ingestion, shared by the live path and WAL

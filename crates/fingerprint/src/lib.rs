@@ -66,12 +66,18 @@ impl Fingerprinter {
     /// combination §5 recommends ("many of the model lake tasks will benefit
     /// from [a] hybrid approach").
     pub fn hybrid(&self, model: &Model) -> mlake_tensor::Result<Vec<f32>> {
-        let mut a = self.intrinsic(model);
-        let mut b = self.extrinsic(model)?;
-        mlake_tensor::vector::normalize(&mut a);
-        mlake_tensor::vector::normalize(&mut b);
-        a.extend_from_slice(&b);
-        Ok(a)
+        Ok(hybrid_of(&self.intrinsic(model), &self.extrinsic(model)?))
+    }
+
+    /// All three fingerprints in [`FingerprintKind::ALL`] order, each
+    /// computed once: the hybrid print is combined from the intrinsic and
+    /// extrinsic prints already in hand, bit-identical to
+    /// [`Fingerprinter::hybrid`].
+    pub fn all(&self, model: &Model) -> mlake_tensor::Result<[Vec<f32>; 3]> {
+        let intrinsic = self.intrinsic(model);
+        let extrinsic = self.extrinsic(model)?;
+        let hybrid = hybrid_of(&intrinsic, &extrinsic);
+        Ok([intrinsic, extrinsic, hybrid])
     }
 
     /// Fingerprint under a named kind (for sweeps/ablations).
@@ -104,5 +110,44 @@ impl Fingerprinter {
     /// hidden units at layer `layer`), the CKA input.
     pub fn representation(&self, model: &Model, layer: usize) -> mlake_tensor::Result<Matrix> {
         self.probes.representation(model, layer)
+    }
+}
+
+/// The hybrid combine step: L2-normalised copies of both halves,
+/// concatenated intrinsic first.
+fn hybrid_of(intrinsic: &[f32], extrinsic: &[f32]) -> Vec<f32> {
+    let mut a = intrinsic.to_vec();
+    let mut b = extrinsic.to_vec();
+    mlake_tensor::vector::normalize(&mut a);
+    mlake_tensor::vector::normalize(&mut b);
+    a.extend_from_slice(&b);
+    a
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use mlake_nn::{Activation, Mlp, NgramLm};
+    use mlake_tensor::init::Init;
+    use mlake_tensor::Seed;
+
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    #[test]
+    fn all_matches_each_single_print_bit_for_bit() {
+        let fp = Fingerprinter::new(32, 7, ProbeSet::standard(4, 16, 2.0, 8, 12, 2, Seed::new(5)));
+        let mut rng = Seed::new(3).derive("init").rng();
+        let mlp = Mlp::new(vec![4, 8, 3], Activation::Relu, Init::HeNormal, &mut rng).unwrap();
+        let mut lm = NgramLm::new(8, 2, 0.1).unwrap();
+        lm.add_counts(&[0, 1, 2, 3, 4, 5, 6, 7, 2, 5], 1.0).unwrap();
+        for model in [Model::Mlp(mlp), Model::Lm(lm)] {
+            let [i, e, h] = fp.all(&model).unwrap();
+            assert_eq!(bits(&i), bits(&fp.intrinsic(&model)));
+            assert_eq!(bits(&e), bits(&fp.extrinsic(&model).unwrap()));
+            assert_eq!(bits(&h), bits(&fp.hybrid(&model).unwrap()));
+            assert_eq!(h.len(), i.len() + e.len());
+        }
     }
 }

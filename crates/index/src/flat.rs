@@ -82,9 +82,11 @@ impl FlatIndex {
             if self.ids.len() < SQ8_TRAIN_MIN {
                 return;
             }
-            // Rows are normalised (finite) and the arena is non-empty, so
-            // training cannot fail; if it somehow does, stay on f32 scans.
-            match Sq8Codec::train_flat(&self.data, self.dim) {
+            // Train on exactly the first SQ8_TRAIN_MIN rows, as the HNSW
+            // arena does. Rows are normalised (finite) and the arena is
+            // non-empty, so training cannot fail; if it somehow does, stay
+            // on f32 scans.
+            match Sq8Codec::train_flat(&self.data[..SQ8_TRAIN_MIN * self.dim], self.dim) {
                 Ok(c) => self.codec = Some(c),
                 Err(_) => return,
             }
@@ -164,7 +166,7 @@ impl FlatIndex {
                 let row = (packed & u64::from(u32::MAX)) as usize;
                 Hit {
                     id: self.ids[row],
-                    distance: 1.0 - vector::dot(q, &self.data[row * dim..(row + 1) * dim]),
+                    distance: crate::distance(q, &self.data[row * dim..(row + 1) * dim]),
                 }
             })
             .collect();
@@ -230,7 +232,7 @@ impl VectorIndex for FlatIndex {
                 let mut hits: Vec<Hit> = range
                     .map(|i| Hit {
                         id: self.ids[i],
-                        distance: 1.0 - vector::dot(&q, &self.data[i * dim..(i + 1) * dim]),
+                        distance: crate::distance(&q, &self.data[i * dim..(i + 1) * dim]),
                     })
                     .collect();
                 hits.sort_by(|a, b| a.distance.total_cmp(&b.distance).then(a.id.cmp(&b.id)));
@@ -379,13 +381,11 @@ mod tests {
                     .find(|t| t.id == h.id)
                     .map(|t| t.distance)
                     .unwrap_or_else(|| {
-                        1.0 - {
-                            let mut qn = q.clone();
-                            vector::normalize(&mut qn);
-                            let d = 16;
-                            let row = sq8.ids.iter().position(|&x| x == h.id).unwrap();
-                            vector::dot(&qn, &sq8.data[row * d..(row + 1) * d])
-                        }
+                        let mut qn = q.clone();
+                        vector::normalize(&mut qn);
+                        let d = 16;
+                        let row = sq8.ids.iter().position(|&x| x == h.id).unwrap();
+                        crate::distance(&qn, &sq8.data[row * d..(row + 1) * d])
                     });
                 assert_eq!(h.distance, want);
             }

@@ -171,7 +171,7 @@ impl HnswIndex {
 
     #[inline]
     fn dist(&self, q: &[f32], idx: u32) -> f32 {
-        1.0 - vector::dot(q, self.vec_of(idx))
+        crate::distance(q, self.vec_of(idx))
     }
 
     fn random_layer(&mut self) -> usize {
@@ -227,9 +227,12 @@ impl HnswIndex {
             if self.nodes.len() < SQ8_TRAIN_MIN {
                 return false;
             }
-            // Rows are normalised (finite) and non-empty, so training
-            // cannot fail; if it somehow does, stay on f32 traversal.
-            match Sq8Codec::train_flat(&self.data, self.dim) {
+            // Train on exactly the first SQ8_TRAIN_MIN rows, whether the
+            // threshold was crossed by one insert or inside a batch, so the
+            // codec never depends on batch size or thread count. Rows are
+            // normalised (finite) and non-empty, so training cannot fail;
+            // if it somehow does, stay on f32 traversal.
+            match Sq8Codec::train_flat(&self.data[..SQ8_TRAIN_MIN * self.dim], self.dim) {
                 Ok(c) => self.codec = Some(c),
                 Err(_) => return false,
             }
@@ -325,7 +328,7 @@ impl HnswIndex {
                 break;
             }
             let dominated = kept.iter().any(|&(_, k)| {
-                let d_ck = 1.0 - vector::dot(self.vec_of(c), self.vec_of(k));
+                let d_ck = crate::distance(self.vec_of(c), self.vec_of(k));
                 d_ck < d
             });
             if !dominated {
@@ -668,7 +671,7 @@ impl HnswIndex {
                     let base = self.vec_of(nb);
                     let mut cands: Vec<(f32, u32)> = list
                         .iter()
-                        .map(|&x| (1.0 - vector::dot(base, self.vec_of(x)), x))
+                        .map(|&x| (crate::distance(base, self.vec_of(x)), x))
                         .collect();
                     *list = self.select_neighbors(&mut cands, cap);
                 }
@@ -808,7 +811,7 @@ impl VectorIndex for HnswIndex {
                     let base = self.vec_of(nb).to_vec();
                     let mut cands: Vec<(f32, u32)> = self.nodes[nb as usize].neighbors[l]
                         .iter()
-                        .map(|&x| (1.0 - vector::dot(&base, self.vec_of(x)), x))
+                        .map(|&x| (crate::distance(&base, self.vec_of(x)), x))
                         .collect();
                     let pruned = self.select_neighbors(&mut cands, cap);
                     self.nodes[nb as usize].neighbors[l] = pruned;

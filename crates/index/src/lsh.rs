@@ -166,7 +166,7 @@ impl VectorIndex for LshIndex {
             .into_iter()
             .map(|i| Hit {
                 id: self.ids[i as usize],
-                distance: 1.0 - vector::dot(&q, self.vec_of(i)),
+                distance: crate::distance(&q, self.vec_of(i)),
             })
             .collect();
         hits.sort_by(|a, b| a.distance.total_cmp(&b.distance).then(a.id.cmp(&b.id)));

@@ -11,7 +11,10 @@
 # blocking-under-lock passes, writing the machine-readable report to
 # target/lint/ and proving on a seeded fixture that an inverted lock
 # acquisition fails the run), the full
-# workspace test suite, a debug-profile par/index run (exercising the
+# workspace test suite, the same suite under MLAKE_THREADS=4 with
+# --no-fail-fast (parallel paths run on a 4-worker pool even on a small
+# machine, and one crate's failure cannot hide another's), the vendored
+# serde_json writer's pinned float text, a debug-profile par/index run (exercising the
 # lock-order race detector, which compiles out in release), the same suite
 # re-run with observability disabled (MLAKE_OBS=off must be behaviorally
 # inert), the parallel-vs-serial equivalence suites re-run under
@@ -102,6 +105,12 @@ fi
 
 step "workspace tests"
 cargo test --workspace -q
+
+step "workspace tests under MLAKE_THREADS=4 (every crate, no fail-fast)"
+MLAKE_THREADS=4 cargo test --workspace --no-fail-fast -q
+
+step "vendored JSON writer: pinned float text"
+cargo test -q --manifest-path vendor/serde_json/Cargo.toml
 
 step "lock-order race detector: debug-profile par/index tests"
 cargo test -q -p mlake-par -p mlake-index
